@@ -19,11 +19,13 @@ var stationaryGoldenSHA256 = map[string]string{
 	"rutgers":        "380ef604e1b17c1ece0b106f3fbf2d4833a7d6a562d127e699bc7fc54a187164",
 	"custom-plain":   "1a8ef4dd523754c1deab64f96ffbcd7b1d764f2b6aabead6c7c05bc35008f8a1",
 	"custom-clients": "a8f7652f8964d1421dd196da8d7a705c64e8146565946ec29f50f04961e12f52",
+	"custom-large":   "37153921a6256094622a76f684276c432b6188c837c734cad9fb4c36f028f545",
 }
 
 // stationaryGoldenSpecs returns the pinned specs: the four Table 2 traces at
-// 2% scale (same code path, test-sized) plus two custom specs covering the
-// head-boost and client-tagging branches.
+// 2% scale (same code path, test-sized) plus custom specs covering the
+// head-boost and client-tagging branches and a 200k-file catalog, large
+// enough that size calibration dominates generation.
 func stationaryGoldenSpecs() []GenSpec {
 	var specs []GenSpec
 	for _, s := range PaperTraces() {
@@ -35,6 +37,8 @@ func stationaryGoldenSpecs() []GenSpec {
 		GenSpec{Name: "custom-clients", Files: 3000, AvgFileKB: 30, Requests: 30000,
 			AvgReqKB: 18, Alpha: 1.1, LocalityP: 0.2, HeadBoost: 0.4, HeadFiles: 150,
 			Clients: 500, ClientAlpha: 1.2, Seed: 22},
+		GenSpec{Name: "custom-large", Files: 200_000, AvgFileKB: 6, AvgReqKB: 5,
+			Alpha: 0.8, LocalityP: 0.3, Requests: 50_000, Seed: 23},
 	)
 }
 

@@ -295,3 +295,16 @@ func TestValidateClientLengthMismatch(t *testing.T) {
 		t.Fatal("client/request length mismatch must fail validation")
 	}
 }
+
+// BenchmarkGenerateStationaryCatalog times stationary generation on a
+// 200k-file catalog, where sizing the catalog (the beta bisection) rather
+// than drawing requests dominates the cost.
+func BenchmarkGenerateStationaryCatalog(b *testing.B) {
+	spec := GenSpec{Name: "catalog", Files: 200_000, AvgFileKB: 6, AvgReqKB: 5,
+		Alpha: 0.8, LocalityP: 0.3, Requests: 50_000, Seed: 23}
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -256,29 +256,15 @@ func generateStationary(spec GenSpec) (*Trace, error) {
 	// Popularity weights p_i over ranks.
 	pop := zipf.New(spec.Alpha, int64(spec.Files))
 
-	// Effective popularity including the head boost, used for size
-	// calibration: p_eff(i) = B/K for i <= K, plus (1-B)*p_zipf(i).
-	pEff := func(rank int64) float64 {
-		p := (1 - spec.HeadBoost) * pop.P(rank)
-		if rank <= int64(spec.HeadFiles) {
-			p += spec.HeadBoost / float64(spec.HeadFiles)
-		}
-		return p
-	}
-
-	// Lognormal noise with mean 1.
-	noise := make([]float64, spec.Files)
-	for i := range noise {
-		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
-	}
-
-	beta := solveBeta(pEff, noise, spec.AvgReqKB/spec.AvgFileKB)
+	cal := newSizeCalibration(spec, pop, rng)
+	beta := solveBeta(cal.ratio, spec.AvgReqKB/spec.AvgFileKB)
 
 	// Scale to the catalog mean.
+	pow := cal.pow.fixed(beta)
 	shape := make([]float64, spec.Files)
 	var mean float64
 	for i := range shape {
-		shape[i] = math.Pow(float64(i+1), beta) * noise[i]
+		shape[i] = pow.at(i+1) * cal.noise[i]
 		mean += shape[i]
 	}
 	mean /= float64(spec.Files)
@@ -469,22 +455,57 @@ func attachClients(t *Trace, spec GenSpec, rng *rand.Rand) {
 	t.Clients = clients
 }
 
-// solveBeta finds the size-rank exponent beta such that the ratio of the
-// popularity-weighted mean size to the unweighted mean size equals target.
-// The ratio is strictly decreasing in beta (larger beta inflates unpopular
-// high-rank files, which the uniform mean weights more heavily), so a
-// bisection converges.
-func solveBeta(pEff func(int64) float64, noise []float64, target float64) float64 {
-	ratio := func(beta float64) float64 {
-		var weighted, uniform float64
-		for i, x := range noise {
-			s := math.Pow(float64(i+1), beta) * x
-			weighted += pEff(int64(i+1)) * s
-			uniform += s
+// sizeCalibration holds the inputs of size calibration that do not depend
+// on the size-rank exponent beta, computed once before the bisection.
+type sizeCalibration struct {
+	w     []float64 // w[i] = p_eff(i+1), the effective popularity of rank i+1
+	noise []float64 // noise[i]: lognormal size noise of rank i+1, mean 1
+	pow   powTable  // log of every rank
+}
+
+// newSizeCalibration tabulates the effective popularity of every rank and
+// draws the size noise from rng.
+func newSizeCalibration(spec GenSpec, pop *zipf.Dist, rng *rand.Rand) *sizeCalibration {
+	// Effective popularity including the head boost:
+	// p_eff(i) = B/K for i <= K, plus (1-B)*p_zipf(i).
+	w := make([]float64, spec.Files)
+	for i := range w {
+		rank := int64(i + 1)
+		p := (1 - spec.HeadBoost) * pop.P(rank)
+		if rank <= int64(spec.HeadFiles) {
+			p += spec.HeadBoost / float64(spec.HeadFiles)
 		}
-		uniform /= float64(len(noise))
-		return weighted / uniform
+		w[i] = p
 	}
+
+	// Lognormal noise with mean 1.
+	noise := make([]float64, spec.Files)
+	for i := range noise {
+		noise[i] = math.Exp(spec.SizeSigma*rng.NormFloat64() - spec.SizeSigma*spec.SizeSigma/2)
+	}
+	return &sizeCalibration{w: w, noise: noise, pow: newPowTable(spec.Files)}
+}
+
+// ratio returns the popularity-weighted mean size over the unweighted mean
+// size when file i+1 has size (i+1)^beta * noise[i].
+func (c *sizeCalibration) ratio(beta float64) float64 {
+	pow := c.pow.fixed(beta)
+	w := c.w[:len(c.noise)]
+	var weighted, uniform float64
+	for i, x := range c.noise {
+		s := pow.at(i+1) * x
+		weighted += w[i] * s
+		uniform += s
+	}
+	uniform /= float64(len(c.noise))
+	return weighted / uniform
+}
+
+// solveBeta finds the size-rank exponent beta at which ratio(beta) equals
+// target. The ratio is strictly decreasing in beta (larger beta inflates
+// unpopular high-rank files, which the uniform mean weights more heavily),
+// so a bisection converges.
+func solveBeta(ratio func(beta float64) float64, target float64) float64 {
 	lo, hi := -3.0, 5.0
 	if ratio(lo) < target { // even strongly inverted sizes cannot reach it
 		return lo

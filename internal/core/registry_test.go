@@ -12,7 +12,7 @@ import (
 // these tests pin each branch of that factory.
 
 func TestRegistryConstructsL2S(t *testing.T) {
-	d, err := policy.NewNamed("l2s", policytest.New(4), policy.Options{})
+	d, err := policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRegistryConstructsL2S(t *testing.T) {
 
 func TestRegistryPassesThroughOptions(t *testing.T) {
 	want := Options{T: 30, LowT: 15, BroadcastDelta: 2}
-	d, err := policy.NewNamed("l2s", policytest.New(4), policy.Options{L2S: want})
+	d, err := policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{L2S: want})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRegistryPassesThroughOptions(t *testing.T) {
 		t.Fatalf("opts = %+v, want %+v", got, want)
 	}
 	// The zero Options value means "unset", not "all thresholds zero".
-	d, err = policy.NewNamed("l2s", policytest.New(4), policy.Options{L2S: Options{}})
+	d, err = policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{L2S: Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestRegistryPassesThroughOptions(t *testing.T) {
 }
 
 func TestRegistryRejectsBadOptions(t *testing.T) {
-	_, err := policy.NewNamed("l2s", policytest.New(4), policy.Options{L2S: "not options"})
+	_, err := policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{L2S: "not options"})
 	if err == nil || !strings.Contains(err.Error(), "want core.Options") {
 		t.Fatalf("foreign option type: err = %v", err)
 	}
-	_, err = policy.NewNamed("l2s", policytest.New(4), policy.Options{L2S: Options{T: -1, BroadcastDelta: 4}})
+	_, err = policy.MustParseSpec("l2s").Build(policytest.New(4), policy.Options{L2S: Options{T: -1, BroadcastDelta: 4}})
 	if err == nil || !strings.Contains(err.Error(), "thresholds") {
 		t.Fatalf("invalid thresholds: err = %v", err)
 	}

@@ -15,7 +15,7 @@ func TestChashPresets(t *testing.T) {
 		"chash-bounded": {VNodes: 128, BoundC: 1.25, D: 1},
 		"chash-d":       {VNodes: 128, D: 2},
 	} {
-		d, err := NewNamed(name, env, Options{})
+		d, err := MustParseSpec(name).Build(env, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -82,7 +82,7 @@ func TestRingWeightedVnodeCounts(t *testing.T) {
 
 func TestChashOwnerStableAndLocalityPreserving(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash", env, Options{})
+	d, err := MustParseSpec("chash").Build(env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChashOwnerStableAndLocalityPreserving(t *testing.T) {
 
 func TestChashSkipsDeadNodes(t *testing.T) {
 	env := policytest.New(8)
-	d, _ := NewNamed("chash", env, Options{})
+	d, _ := MustParseSpec("chash").Build(env, Options{})
 	owners := make([]int, 100)
 	for f := range owners {
 		owners[f] = d.Service(0, FileID(f))
@@ -130,7 +130,7 @@ func TestChashSkipsDeadNodes(t *testing.T) {
 
 func TestChashBoundedSpillsOverloadedOwner(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash-bounded", env, Options{})
+	d, err := MustParseSpec("chash-bounded").Build(env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestChashBoundedSpillsOverloadedOwner(t *testing.T) {
 
 func TestChashBoundedAllOverloadedPicksLeastLoaded(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash-bounded", env, Options{})
+	d, _ := MustParseSpec("chash-bounded").Build(env, Options{})
 	p := d.(*CHash)
 	p.inflight = 400
 	for i := range env.Loads {
@@ -172,7 +172,7 @@ func TestChashBoundedAllOverloadedPicksLeastLoaded(t *testing.T) {
 
 func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 	env := policytest.New(8)
-	d, err := NewNamed("chash-d", env, Options{})
+	d, err := MustParseSpec("chash-d").Build(env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 			env.Loads[i] = i * 10
 		}
 		got := d.Service(0, f)
-		plain, _ := NewNamed("chash", env, Options{})
+		plain, _ := MustParseSpec("chash").Build(env, Options{})
 		owner := plain.Service(0, f)
 		if env.Loads[got] > env.Loads[owner] {
 			t.Fatalf("file %d: d-choices picked load %d over owner load %d",
@@ -194,7 +194,7 @@ func TestChashDPicksLeastLoadedCandidate(t *testing.T) {
 
 func TestChashDOneDegradesToPlain(t *testing.T) {
 	env := policytest.New(8)
-	plain, _ := NewNamed("chash", env, Options{})
+	plain, _ := MustParseSpec("chash").Build(env, Options{})
 	one, err := New(MustParseSpec("chash:d=1"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestChashProximityWithoutRaterFallsBack(t *testing.T) {
 
 func TestChashInflightTracking(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash-bounded", env, Options{})
+	d, _ := MustParseSpec("chash-bounded").Build(env, Options{})
 	p := d.(*CHash)
 	d.OnAssign(1)
 	d.OnAssign(2)
@@ -284,7 +284,7 @@ func TestChashInflightTracking(t *testing.T) {
 
 func TestChashRoundRobinArrival(t *testing.T) {
 	env := policytest.New(4)
-	d, _ := NewNamed("chash", env, Options{})
+	d, _ := MustParseSpec("chash").Build(env, Options{})
 	if d.FrontEnd() != -1 {
 		t.Fatal("chash has no dedicated front-end")
 	}

@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -99,7 +98,7 @@ func Register(name string, f Factory) {
 }
 
 // RegisterAlias makes alias resolve to the policy registered under name.
-// Aliases are accepted by ParseSpec and NewNamed but not listed by Names;
+// Aliases are accepted by ParseSpec but not listed by Names;
 // NamesAndAliases lists them marked with their targets.
 func RegisterAlias(alias, name string) {
 	registry.Lock()
@@ -108,28 +107,6 @@ func RegisterAlias(alias, name string) {
 		panic(fmt.Sprintf("policy: alias %q collides with a registered policy", alias))
 	}
 	registry.aliases[alias] = name
-}
-
-// NewNamed constructs the named distribution policy over env from a
-// pre-assembled Options. Unknown names return an error listing every valid
-// name and alias.
-//
-// Deprecated: parse a policy spec instead — New(ParseSpec(name), env) is
-// bit-identical for every plain name and additionally accepts per-family
-// parameters ("chash:vnodes=256"). NewNamed remains for callers that build
-// Options structs directly.
-func NewNamed(name string, env Env, opts Options) (Distributor, error) {
-	registry.RLock()
-	if target, ok := registry.aliases[name]; ok {
-		name = target
-	}
-	f, ok := registry.factories[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (valid: %s)",
-			name, strings.Join(NamesAndAliases(), ", "))
-	}
-	return f(env, opts)
 }
 
 // Names returns every registered policy name, sorted.

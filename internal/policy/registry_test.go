@@ -27,7 +27,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 }
 
 func TestUnknownNameListsValid(t *testing.T) {
-	_, err := NewNamed("no-such-policy", nil, Options{})
+	_, err := ParseSpec("no-such-policy")
 	if err == nil {
 		t.Fatal("unknown policy must error")
 	}
@@ -44,7 +44,7 @@ func TestUnknownNameListsValid(t *testing.T) {
 
 func TestAliasResolves(t *testing.T) {
 	env := newFakeEnv(4)
-	d, err := NewNamed("trad", env, Options{})
+	d, err := MustParseSpec("trad").Build(env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFactoriesBuildTheRightDistributors(t *testing.T) {
 		"random":        "random",
 		"cached-dns":    "cached-dns",
 	} {
-		d, err := NewNamed(name, env, Options{})
+		d, err := MustParseSpec(name).Build(env, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -78,7 +78,7 @@ func TestFactoriesBuildTheRightDistributors(t *testing.T) {
 func TestLARDBasicDisablesReplication(t *testing.T) {
 	opts := Options{LARD: DefaultLARDOptions()}
 	opts.LARD.Replication = true
-	d, err := NewNamed("lard-basic", newFakeEnv(4), opts)
+	d, err := MustParseSpec("lard-basic").Build(newFakeEnv(4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,8 +277,8 @@ func (s Spec) Build(env Env, base Options) (Distributor, error) {
 }
 
 // New constructs the distribution policy a parsed spec describes over env,
-// with every un-set tunable at its published default. It is the spec-first
-// entrypoint; NewNamed remains for callers that assemble Options directly.
+// with every un-set tunable at its published default. Callers that
+// assemble Options themselves use Spec.Build.
 func New(spec Spec, env Env) (Distributor, error) {
 	return spec.Build(env, Options{})
 }

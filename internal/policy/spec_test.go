@@ -159,28 +159,6 @@ func TestNamesAndAliasesSortedAndMarked(t *testing.T) {
 	}
 }
 
-func TestSpecBuildMatchesNewNamed(t *testing.T) {
-	for _, name := range Names() {
-		if name == "l2s" || name == "l2s-weighted" {
-			continue // registered by package core, not linked into this test
-		}
-		env := newFakeEnv(4)
-		viaSpec, err := New(MustParseSpec(name), env)
-		if err != nil {
-			t.Errorf("%s via spec: %v", name, err)
-			continue
-		}
-		viaName, err := NewNamed(name, env, Options{})
-		if err != nil {
-			t.Errorf("%s via NewNamed: %v", name, err)
-			continue
-		}
-		if viaSpec.Name() != viaName.Name() {
-			t.Errorf("%s: spec built %q, NewNamed built %q", name, viaSpec.Name(), viaName.Name())
-		}
-	}
-}
-
 func TestSplitSpecs(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -99,7 +99,7 @@ func TestWeightedLARDScalesThresholds(t *testing.T) {
 func TestWeightedPoliciesRegistered(t *testing.T) {
 	for _, name := range []string{"wlc", "lard-weighted"} {
 		env := policytest.New(4)
-		d, err := policy.NewNamed(name, env, policy.Options{Weights: []float64{2, 1, 0.5, 0.5}})
+		d, err := policy.MustParseSpec(name).Build(env, policy.Options{Weights: []float64{2, 1, 0.5, 0.5}})
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
@@ -110,7 +110,7 @@ func TestWeightedPoliciesRegistered(t *testing.T) {
 	// Without weights the registered variants still construct and degrade
 	// to their unweighted bases (wlc keeps its own name; lard-weighted
 	// reports the base algorithm it degraded to).
-	d, err := policy.NewNamed("lard-weighted", policytest.New(4), policy.Options{})
+	d, err := policy.MustParseSpec("lard-weighted").Build(policytest.New(4), policy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

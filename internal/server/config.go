@@ -137,14 +137,6 @@ type Config struct {
 	// fall back to the baseline (speed 1, Net.LinkKBps, CacheBytes).
 	Profiles []NodeProfile
 
-	// CPUSpeeds, when non-nil, gives each node a relative CPU speed.
-	//
-	// Deprecated: use Profiles (WithProfiles). CPUSpeeds maps onto uniform
-	// profiles with only CPUSpeed set — bit-identical to its historical
-	// behavior (TestCPUSpeedsShimBitIdentical) — and cannot express
-	// disk/NIC/memory asymmetry. It is ignored when Profiles is also set.
-	CPUSpeeds []float64
-
 	// DistributedFS models the cluster's distributed file system
 	// explicitly: every file has a home disk (hashed over the nodes), and
 	// a cache miss at another node fetches the file from the home node's
@@ -241,16 +233,6 @@ func (c Config) Validate() error {
 		}
 		if !anyPositive {
 			return fmt.Errorf("server: arrival schedule has no positive-rate segment")
-		}
-	}
-	if c.CPUSpeeds != nil && c.Profiles == nil {
-		if len(c.CPUSpeeds) != c.Nodes {
-			return fmt.Errorf("server: %d CPU speeds for %d nodes", len(c.CPUSpeeds), c.Nodes)
-		}
-		for i, s := range c.CPUSpeeds {
-			if s <= 0 {
-				return fmt.Errorf("server: node %d has non-positive CPU speed %v", i, s)
-			}
 		}
 	}
 	if c.Profiles != nil {

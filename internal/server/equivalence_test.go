@@ -60,39 +60,9 @@ func equivalenceCases() map[string]Config {
 		WithTimelineBucket(0.05))
 	cases["mode/heterogeneous"] = NewConfig(L2SServer, 4,
 		WithSeed(19), WithCacheBytes(2<<20),
-		WithCPUSpeeds([]float64{1, 1, 0.5, 2}))
+		WithProfiles(NodeProfile{CPUSpeed: 1, DiskSpeed: 1}, NodeProfile{CPUSpeed: 1, DiskSpeed: 1},
+			NodeProfile{CPUSpeed: 0.5, DiskSpeed: 1}, NodeProfile{CPUSpeed: 2, DiskSpeed: 1}))
 	return cases
-}
-
-// TestCPUSpeedsShimBitIdentical pins the deprecation contract of
-// Config.CPUSpeeds: the shim maps onto uniform-disk profiles with bit-for-
-// bit identical results, so callers can migrate to WithProfiles without a
-// golden change. Byte equality of the JSON is bit equality of the Result.
-func TestCPUSpeedsShimBitIdentical(t *testing.T) {
-	tr := equivalenceTrace()
-	speeds := []float64{1, 1, 0.5, 2}
-	legacy := NewConfig(L2SServer, 4,
-		WithSeed(19), WithCacheBytes(2<<20), WithCPUSpeeds(speeds))
-	profiles := make([]NodeProfile, len(speeds))
-	for i, s := range speeds {
-		profiles[i] = NodeProfile{CPUSpeed: s, DiskSpeed: 1}
-	}
-	modern := NewConfig(L2SServer, 4,
-		WithSeed(19), WithCacheBytes(2<<20), WithProfiles(profiles...))
-
-	a, err := Run(legacy, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(modern, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Errorf("CPUSpeeds shim diverged from WithProfiles\n legacy: %s\nmodern: %s", aj, bj)
-	}
 }
 
 // TestUniformProfilesMatchGolden proves the profile plumbing is a true

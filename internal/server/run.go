@@ -358,7 +358,7 @@ func Run(cfg Config, tr *trace.Trace) (res Result, err error) {
 	} else {
 		// The policy name is a full spec ("chash:vnodes=256,load=1.25"):
 		// parsed parameters are applied on top of the Options assembled
-		// above, so a plain name builds exactly what NewNamed would.
+		// above, so a plain name builds the family with those Options.
 		spec, err := policy.ParseSpec(cfg.policyName())
 		if err != nil {
 			return Result{}, fmt.Errorf("server: %w", err)

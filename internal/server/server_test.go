@@ -425,7 +425,7 @@ func TestHeterogeneousCPUSpeeds(t *testing.T) {
 	}
 	// Two fast nodes, two half-speed nodes.
 	cfg := DefaultConfig(L2SServer, 4)
-	cfg.CPUSpeeds = []float64{1, 1, 0.5, 0.5}
+	cfg.Profiles = []NodeProfile{{CPUSpeed: 1}, {CPUSpeed: 1}, {CPUSpeed: 0.5}, {CPUSpeed: 0.5}}
 	het, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -453,13 +453,13 @@ func TestHeterogeneousCPUSpeeds(t *testing.T) {
 func TestCPUSpeedsValidation(t *testing.T) {
 	tr := testTrace(100)
 	cfg := DefaultConfig(Traditional, 2)
-	cfg.CPUSpeeds = []float64{1}
+	cfg.Profiles = []NodeProfile{{CPUSpeed: 1}}
 	if _, err := Run(cfg, tr); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	cfg.CPUSpeeds = []float64{1, 0}
+	cfg.Profiles = []NodeProfile{{CPUSpeed: 1}, {CPUSpeed: -1}}
 	if _, err := Run(cfg, tr); err == nil {
-		t.Fatal("zero speed accepted")
+		t.Fatal("negative speed accepted")
 	}
 }
 

@@ -12,7 +12,7 @@ const archPow = runtime.GOARCH == "s390x"
 
 // powTable holds the exponent-independent part of x**y for the integer
 // bases 1..n: log x. Size calibration raises every rank to many trial
-// exponents, and recomputing log x on each pass was most of its cost.
+// exponents; math.Pow would recompute log x on every pass.
 type powTable struct {
 	logs []float64 // logs[x] = math.Log(x); logs[0] is unused
 }
@@ -27,7 +27,7 @@ func newPowTable(n int) powTable {
 
 // fixedPow evaluates x**y for one exponent y over the table's bases,
 // bit-identical to math.Pow(float64(x), y). It replays Go's pure-Go
-// math.pow step for step: the Modf split of |y| (done once here), the
+// math.pow step for step: the Modf split of |y| (done once, in fixed), the
 // fractional factor Exp(yf*Log(x)) with Log(x) read from the table, the
 // repeated squaring over Frexp(x) for the integer part, and the final
 // Ldexp. Every floating-point operation on the result path is the one

@@ -142,3 +142,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseProfiles -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=^$$ -fuzz=FuzzParseGenSpec -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzCalendarOrder -fuzztime=$(FUZZTIME) ./internal/sim

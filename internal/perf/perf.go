@@ -40,6 +40,7 @@ func Benchmarks() []Bench {
 		{Name: "EngineScheduleFireDeep", Fn: EngineScheduleFireDeep},
 		{Name: "EngineCancel", Fn: EngineCancel},
 		{Name: "ResourceAcquire", Fn: ResourceAcquire},
+		{Name: "ResourceAcquireQueued", Fn: ResourceAcquireQueued},
 		{Name: "LRUAccess", Fn: LRUAccess},
 		{Name: "LRUAccessEvict", Fn: LRUAccessEvict},
 		{Name: "ZipfSample10k", Fn: ZipfSample10k},
@@ -128,6 +129,23 @@ func ResourceAcquire(b *testing.B) {
 	b.ReportAllocs()
 	e := sim.NewEngine()
 	r := sim.NewResource(e, "cpu", 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Acquire(0.001, nil)
+		e.Step()
+	}
+}
+
+// ResourceAcquireQueued measures the same cycle on a resource that stays 64
+// jobs deep, the saturated service centers of a closed-loop cluster run:
+// each acquire queues behind 63 others and each step retires the oldest.
+func ResourceAcquireQueued(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	r := sim.NewResource(e, "cpu", 1)
+	for i := 0; i < 63; i++ {
+		r.Acquire(0.001, nil)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Acquire(0.001, nil)

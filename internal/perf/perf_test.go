@@ -10,6 +10,7 @@ func BenchmarkEngineScheduleFire(b *testing.B)     { EngineScheduleFire(b) }
 func BenchmarkEngineScheduleFireDeep(b *testing.B) { EngineScheduleFireDeep(b) }
 func BenchmarkEngineCancel(b *testing.B)           { EngineCancel(b) }
 func BenchmarkResourceAcquire(b *testing.B)        { ResourceAcquire(b) }
+func BenchmarkResourceAcquireQueued(b *testing.B)  { ResourceAcquireQueued(b) }
 func BenchmarkLRUAccess(b *testing.B)              { LRUAccess(b) }
 func BenchmarkLRUAccessEvict(b *testing.B)         { LRUAccessEvict(b) }
 func BenchmarkZipfSample10k(b *testing.B)          { ZipfSample10k(b) }

@@ -52,8 +52,8 @@ type ChargeBank struct {
 // charging svc seconds per deferred charge. It panics on a multi-server
 // resource, a resource already in a bank, or a non-positive service time.
 func NewChargeBank(svc Time, res []*Resource) *ChargeBank {
-	if svc <= 0 {
-		panic(fmt.Sprintf("sim: charge bank with non-positive service %v", svc))
+	if !(svc > 0) {
+		panic(fmt.Sprintf("sim: charge bank service must be positive, got %v", svc))
 	}
 	b := &ChargeBank{
 		svc:   svc,
@@ -77,6 +77,9 @@ func NewChargeBank(svc Time, res []*Resource) *ChargeBank {
 // at, and returns the finish time — exactly what res[i].ChargeAt(at, svc)
 // would return, with the resource-state writes deferred to its next use.
 func (b *ChargeBank) ChargeAt(i int, at Time) Time {
+	if at != at {
+		panic(fmt.Sprintf("sim: deferred charge to %q at %v", b.res[i].name, at))
+	}
 	if b.count[i] == 0 {
 		b.chain[i] = b.res[i].free[0]
 	}
@@ -127,10 +130,19 @@ func (r *Resource) syncDeferred() {
 // handful of exact closed-form jumps: epoch-folded gossip rounds can leave
 // millions of pending charges per node, and looping them would cost more
 // than the charging they replace.
+//
+// The chain never lies before the free time it extends; a FoldDeferred
+// caller that broke that would move free backwards, letting a later job
+// finish before one already queued — the order Engine.chain relies on —
+// so the flush refuses it.
 func (r *Resource) flushDeferred() {
 	b := r.bank
 	n := b.count[r.bankID]
 	b.count[r.bankID] = 0
-	r.free[0] = b.chain[r.bankID]
+	c := b.chain[r.bankID]
+	if !(c >= r.free[0]) {
+		panic(fmt.Sprintf("sim: deferred charges move %q's free time back from %v to %v", r.name, r.free[0], c))
+	}
+	r.free[0] = c
 	r.busy = addRepeated(r.busy, b.svc, uint64(n))
 }

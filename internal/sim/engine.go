@@ -14,10 +14,16 @@
 // the bulk of all events — are plain values carried inline in the calendar
 // entries; cancellable callback events live in a pooled slot array reached
 // through the entry's packed key, so scheduling and firing never touch the
-// garbage collector once the pool has grown to the simulation's high-water
-// mark. Event handles carry the scheduling sequence number, which keeps
-// Cancel safe (a no-op) after the event has fired and its slot has been
-// recycled.
+// garbage collector once the pools have grown to the simulation's
+// high-water mark. Event handles carry the scheduling sequence number,
+// which keeps Cancel safe (a no-op) after the event has fired and its slot
+// has been recycled.
+//
+// A busy single-server resource keeps only its earliest completion in the
+// calendar; the jobs queued behind it wait in a per-resource FIFO chain and
+// are filed one at a time as their predecessors fire (see Engine.chain).
+// The calendar therefore holds one entry per busy server rather than one
+// per queued job, and the fire order is unchanged.
 package sim
 
 import (
@@ -61,7 +67,7 @@ func (ev Event) Cancel() {
 	ev.eng.freeSlot(ev.slot)
 }
 
-// invalidSeq marks a free slot. push never assigns it (the sequence counter
+// invalidSeq marks a free slot. nextSeq never assigns it (the sequence counter
 // is bounded far below), so a freed slot matches no outstanding handle and
 // no stale calendar entry.
 const invalidSeq = ^uint64(0)
@@ -125,6 +131,41 @@ func (a heapEntry) before(b heapEntry) bool {
 func (en heapEntry) slot() int32      { return int32(en.key & (maxSlots - 1)) }
 func (en heapEntry) entrySeq() uint64 { return en.key >> seqShift }
 
+// chainNode is one queued resource completion waiting behind its
+// resource's calendar head: the firing time and packed key it was given at
+// Acquire time, and its callback.
+type chainNode struct {
+	when Time
+	key  uint64
+	done func()
+}
+
+// chainChunk is a fixed block of chain nodes, allocated once and never
+// moved, so the pool grows without copying and without the up-to-25% spare
+// capacity of an appended slice: its footprint is the queue's high-water
+// mark rounded up to one chunk. next links each node to the next queued
+// completion of the same resource, or to the next free node. It sits in
+// its own array so that a queued completion costs 28 bytes rather than a
+// padded 32: the pool plus the calendar then take no more memory than a
+// calendar holding every completion would.
+//
+// Nodes are not slots: a chained completion is not cancellable and never
+// needs the key's slot bits, so the pool is bounded by its int32 links
+// alone, not by maxSlots — an open-loop overload run can queue far more
+// jobs than that.
+type chainChunk struct {
+	node [chainChunkLen]chainNode
+	next [chainChunkLen]int32
+}
+
+// A chunk of 2048 nodes is 56 KiB, exactly seven of the allocator's 8 KiB
+// pages, so no chunk is rounded up to a larger size class.
+const (
+	chainChunkBits = 11
+	chainChunkLen  = 1 << chainChunkBits
+	maxChainNodes  = math.MaxInt32
+)
+
 // probe is an observation hook that fires outside the event calendar (see
 // Engine.Probe).
 type probe struct {
@@ -147,13 +188,15 @@ const stagedCap = 16
 // insertion-sort into the buffer; a pop takes the smaller of the buffer's
 // minimum and the heap root, so the fire order is still exactly minimal in
 // (when, seq) — bit-identical to a pure heap by construction. The buffer
-// pays off because of a strong property of queueing models: most scheduled
-// events are near-term (a message hop a few microseconds out, a CPU chunk
-// on an idle resource) while the heap holds far-out completions, so the
-// freshly pushed event is very often the next to fire — it appends to the
-// buffer with one comparison and pops from it with another, never paying a
-// sift. Only events that linger long enough for the buffer to fill around
-// them overflow into the heap, once.
+// pays off because of a strong property of queueing models: most filed
+// events are near-term (a message hop a few microseconds out, the next
+// job's completion on a resource whose previous job just finished, a CPU
+// chunk on an idle resource) while the heap holds the longer-lived ones
+// (timers, the in-service jobs of other resources), so the freshly filed
+// event is very often the next to fire — it appends to the buffer with one
+// comparison and pops from it with another, never paying a sift. Only
+// events that linger long enough for the buffer to fill around them
+// overflow into the heap, once.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -162,14 +205,18 @@ type Engine struct {
 	heap    []heapEntry
 	slots   []eventSlot
 	free    int32 // head of the slot free list, -1 when empty
-	pending int   // scheduled, uncancelled, unfired events
+	pending int   // scheduled, uncancelled, unfired events (chained ones included)
 	fired   uint64
 	probes  []probe
+
+	chains    []*chainChunk // pool of queued completions (see chain)
+	chainLen  int32         // nodes ever allocated from the chunks
+	chainFree int32         // head of the node free list, -1 when empty
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	return &Engine{free: -1, chainFree: -1}
 }
 
 // Now returns the current simulated time.
@@ -192,26 +239,91 @@ func (e *Engine) Schedule(delay Time, fn func()) Event {
 }
 
 // At runs fn at absolute simulated time t, which must not be in the past.
+// A NaN time panics like a past one: it compares false against every
+// other time and would silently corrupt the calendar's order.
 func (e *Engine) At(t Time, fn func()) Event {
-	if t < e.now {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	slot := e.allocSlot()
 	s := &e.slots[slot]
 	s.when = t
 	s.fn = fn
-	seq := e.push(heapEntry{when: t, key: uint64(uint32(slot))})
+	seq := e.nextSeq()
+	e.file(heapEntry{when: t, key: seq<<seqShift | uint64(uint32(slot))})
 	s.seq = seq
 	return Event{eng: e, slot: slot, seq: seq}
 }
 
-// atCompletion schedules a resource-completion event: when it fires, r
-// retires one job and then calls done. The pair rides inline in the
-// calendar entry — no slot, no closure — so Resource.Acquire stays
-// allocation-free and the completion never pays the slot pool's
-// bookkeeping.
-func (e *Engine) atCompletion(t Time, r *Resource, done func()) {
-	e.push(heapEntry{when: t, res: r, done: done})
+// chain schedules a completion of r at t behind r's calendar head, which
+// must be present: r is a single-server resource with a completion already
+// outstanding. The completion takes its sequence number now, exactly as
+// one filed straight into the calendar would, but waits at the tail of r's
+// FIFO chain instead; fire files it when its predecessor fires.
+//
+// This is exact because a single-server FCFS resource finishes its jobs in
+// acquire order at nondecreasing times: each finish is max(now, free) plus
+// a nonnegative service, and free never moves backwards (Acquire and
+// ChargeAt set it to a finish, a ChargeBank flush to a chain at or after
+// it). Sequence numbers rise in acquire order too, so every chained entry
+// is (when, seq)-after its resource's calendar head. The calendar minimum
+// is therefore the minimum over all pending events, chained ones included,
+// and entries pop in exactly the (when, seq) order a calendar holding every
+// completion would produce. Pending and Fired count chained completions
+// like any other event.
+func (e *Engine) chain(r *Resource, t Time, done func()) {
+	n := e.allocNode()
+	c, i := e.chunk(n)
+	c.node[i] = chainNode{when: t, key: e.nextSeq() << seqShift, done: done}
+	c.next[i] = -1
+	if r.chainHead >= 0 {
+		tc, ti := e.chunk(r.chainTail)
+		tc.next[ti] = n
+	} else {
+		r.chainHead = n
+	}
+	r.chainTail = n
+}
+
+// advanceChain moves r's oldest chained completion into the calendar under
+// the key it was given at Acquire time and recycles its node. It runs when
+// r's calendar head fires, so the filed entry becomes r's new head. The
+// released node drops its callback, which may be a per-request closure
+// the model has otherwise finished with.
+func (e *Engine) advanceChain(r *Resource) {
+	n := r.chainHead
+	c, i := e.chunk(n)
+	nd := &c.node[i]
+	en := heapEntry{when: nd.when, key: nd.key, res: r, done: nd.done}
+	nd.done = nil
+	r.chainHead = c.next[i]
+	c.next[i] = e.chainFree
+	e.chainFree = n
+	e.file(en)
+}
+
+// chunk locates chain node n: its chunk and its index there.
+func (e *Engine) chunk(n int32) (*chainChunk, int32) {
+	return e.chains[n>>chainChunkBits], n & (chainChunkLen - 1)
+}
+
+// allocNode takes a chain node from the free list, carving a new chunk
+// when every allocated node is in use.
+func (e *Engine) allocNode() int32 {
+	if n := e.chainFree; n >= 0 {
+		c, i := e.chunk(n)
+		e.chainFree = c.next[i]
+		return n
+	}
+	n := e.chainLen
+	if n&(chainChunkLen-1) == 0 {
+		if n > maxChainNodes-chainChunkLen {
+			panic(fmt.Sprintf("sim: more than %d resource jobs queued", n))
+		}
+		e.chains = append(e.chains, new(chainChunk))
+	}
+	e.chainLen++
+	return n
 }
 
 // allocSlot takes a slot from the free list, growing the pool if none is
@@ -240,33 +352,42 @@ func (e *Engine) freeSlot(slot int32) {
 	e.free = slot
 }
 
-// push stages a calendar entry. The caller fills when, the low key bits
-// (slot index for callback events, zero for completions), and any inline
-// completion state; push assigns the sequence number and returns it.
-func (e *Engine) push(en heapEntry) uint64 {
+// nextSeq assigns the next scheduling sequence number to a new pending
+// event.
+func (e *Engine) nextSeq() uint64 {
 	seq := e.seq
 	if seq > maxSeq {
 		panic("sim: scheduling sequence numbers exhausted")
 	}
 	e.seq++
 	e.pending++
+	return seq
+}
+
+// file places a keyed entry in the calendar: a fresh event under the
+// sequence number nextSeq just gave it, or a chained completion advancing
+// to its resource's head under the one it was given at Acquire time.
+func (e *Engine) file(en heapEntry) {
 	if e.nstaged == stagedCap {
 		e.flushStaged()
 	}
-	en.key |= seq << seqShift
 	// An entry due no earlier than the staged maximum goes straight to the
 	// heap: it would only ride the buffer until the next flush anyway, and
-	// filing it first means shifting every nearer entry out of its way. At
-	// saturation most pushes are far-future queue-tail completions, so this
-	// branch keeps the buffer holding near-term work. The buffer/heap split
-	// is free to vary — peekLive takes the minimum of both — so any
-	// partition yields the identical popped sequence.
+	// filing it first means shifting every nearer entry out of its way.
+	// Such entries are the ones that outlive the near-term bursts — a
+	// timer, a long disk read, a message hop filed behind a burst of
+	// shorter ones — so this branch keeps the buffer holding near-term
+	// work. Queue tails never get here: a queued job's completion waits in
+	// its resource's chain and is filed only when its predecessor fires,
+	// one service time ahead of the clock. The buffer/heap split is free
+	// to vary — peekLive takes the minimum of both — so any partition
+	// yields the identical popped sequence.
 	if e.nstaged > 0 && !en.before(e.staged[0]) {
 		e.heap = append(e.heap, en)
 		e.siftUp(len(e.heap) - 1)
-		return seq
+		return
 	}
-	// Insertion-sort into the descending buffer. The common near-term push
+	// Insertion-sort into the descending buffer. The common near-term entry
 	// is a new minimum, which lands at the end after a single failed
 	// comparison.
 	p := e.nstaged
@@ -276,7 +397,6 @@ func (e *Engine) push(en heapEntry) uint64 {
 	}
 	e.staged[p] = en
 	e.nstaged++
-	return seq
 }
 
 // flushStaged spills the staging buffer into the heap. Entries that make
@@ -445,8 +565,15 @@ func (e *Engine) fire(fromStaged bool, entry heapEntry) {
 	e.pending--
 	e.now = entry.when
 	e.fired++
-	if entry.res != nil {
-		entry.res.complete(entry.done)
+	if r := entry.res; r != nil {
+		// File the resource's next queued completion before retiring this
+		// one, so that model code — done included — only ever runs while
+		// the oldest outstanding completion of every resource is in the
+		// calendar.
+		if r.chainHead >= 0 {
+			e.advanceChain(r)
+		}
+		r.complete(entry.done)
 	} else {
 		// Copy the callback out and release the slot before invoking it: the
 		// callback is free to schedule new events into the recycled slot.

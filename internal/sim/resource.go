@@ -11,6 +11,9 @@ import "fmt"
 // invokes the completion callback when the job finishes. Because service is
 // FCFS and demands are known at arrival, the resource tracks only the time
 // each server next becomes free, which is both exact and allocation-light.
+// A single-server resource also holds the completions of its queued jobs in
+// a FIFO chain, so that only the job in service occupies the event calendar
+// (see Engine.chain).
 type Resource struct {
 	eng  *Engine
 	name string
@@ -33,6 +36,11 @@ type Resource struct {
 	// eagerly charged resource. Every free/busy access syncs first.
 	bank   *ChargeBank
 	bankID int32
+
+	// Queued completions behind the calendar head, as engine chain-node
+	// indices: chainHead is -1 when none wait, and chainTail is meaningful
+	// only while chainHead is not. Multi-server resources never chain.
+	chainHead, chainTail int32
 }
 
 // NewResource returns a FCFS resource with the given number of identical
@@ -41,7 +49,7 @@ func NewResource(eng *Engine, name string, servers int) *Resource {
 	if servers < 1 {
 		panic(fmt.Sprintf("sim: resource %q needs at least one server", name))
 	}
-	r := &Resource{eng: eng, name: name}
+	r := &Resource{eng: eng, name: name, chainHead: -1}
 	if servers == 1 {
 		r.free = r.free1[:]
 	} else {
@@ -56,8 +64,8 @@ func (r *Resource) Name() string { return r.name }
 // Acquire enqueues a job that needs service seconds of work and calls done
 // (if non-nil) when the job completes. It returns the completion time.
 func (r *Resource) Acquire(service Time, done func()) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: resource %q acquire with negative service %v", r.name, service))
+	if !(service >= 0) {
+		panic(fmt.Sprintf("sim: resource %q acquire with invalid service %v", r.name, service))
 	}
 	r.syncDeferred()
 	now := r.eng.Now()
@@ -66,25 +74,19 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	if r.inSystem > r.maxQueue {
 		r.maxQueue = r.inSystem
 	}
+	finish := r.book(now, service)
 
-	// Pick the server that frees up first.
-	best := 0
-	for i := 1; i < len(r.free); i++ {
-		if r.free[i] < r.free[best] {
-			best = i
-		}
+	// The completion event carries (r, done) inline in its calendar entry —
+	// no slot, no closure — so Acquire itself never allocates and the
+	// completion never pays the slot pool's bookkeeping. inSystem counts
+	// exactly the jobs whose completions are outstanding, and the oldest of
+	// them is always in the calendar, so a single server with another job
+	// outstanding chains this one behind it.
+	if e := r.eng; r.inSystem == 1 || len(r.free) > 1 {
+		e.file(heapEntry{when: finish, key: e.nextSeq() << seqShift, res: r, done: done})
+	} else {
+		e.chain(r, finish, done)
 	}
-	start := r.free[best]
-	if start < now {
-		start = now
-	}
-	finish := start + service
-	r.free[best] = finish
-	r.busy += service
-
-	// A completion event carries (r, done) in its pooled slot rather than a
-	// closure, so Acquire itself never allocates.
-	r.eng.atCompletion(finish, r, done)
 	return finish
 }
 
@@ -102,10 +104,16 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 // per-message samples for the O(1) event count, but utilization and busy
 // time stay exact.
 func (r *Resource) ChargeAt(at, service Time) Time {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: resource %q charge with negative service %v", r.name, service))
+	if !(service >= 0) || at != at {
+		panic(fmt.Sprintf("sim: resource %q charge of %v at %v", r.name, service, at))
 	}
 	r.syncDeferred()
+	return r.book(at, service)
+}
+
+// book starts service seconds of work on the server that frees up first,
+// no earlier than at, and returns its finish time.
+func (r *Resource) book(at, service Time) Time {
 	best := 0
 	for i := 1; i < len(r.free); i++ {
 		if r.free[i] < r.free[best] {

@@ -345,3 +345,81 @@ func TestResourceChargeAtNegativeServicePanics(t *testing.T) {
 	}()
 	r.ChargeAt(0, -1)
 }
+
+// TestInvalidTimesPanic pins the input guards of the scheduling and
+// charging entry points. NaN compares false against everything, so a plain
+// `t < now` or `service < 0` test lets it through; a NaN finish time would
+// then silently break the calendar's order and the FCFS completion chain's.
+func TestInvalidTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		fn   func(e *Engine)
+	}{
+		{"Schedule(NaN)", func(e *Engine) { e.Schedule(nan, func() {}) }},
+		{"At(NaN)", func(e *Engine) { e.At(nan, func() {}) }},
+		{"At(past)", func(e *Engine) { e.RunUntil(2); e.At(1, func() {}) }},
+		{"Acquire(NaN)", func(e *Engine) { NewResource(e, "r", 1).Acquire(nan, nil) }},
+		{"Acquire(NaN) multi-server", func(e *Engine) { NewResource(e, "r", 2).Acquire(nan, nil) }},
+		{"ChargeAt(NaN service)", func(e *Engine) { NewResource(e, "r", 1).ChargeAt(0, nan) }},
+		{"ChargeAt(negative service)", func(e *Engine) { NewResource(e, "r", 1).ChargeAt(0, -1) }},
+		{"ChargeAt(NaN at)", func(e *Engine) { NewResource(e, "r", 1).ChargeAt(nan, 1) }},
+		{"NewChargeBank(NaN)", func(e *Engine) { NewChargeBank(nan, []*Resource{NewResource(e, "r", 1)}) }},
+		{"NewChargeBank(negative)", func(e *Engine) { NewChargeBank(-1, []*Resource{NewResource(e, "r", 1)}) }},
+		{"ChargeBank.ChargeAt(NaN)", func(e *Engine) {
+			NewChargeBank(1, []*Resource{NewResource(e, "r", 1)}).ChargeAt(0, nan)
+		}},
+		{"FoldDeferred backwards", func(e *Engine) {
+			r := NewResource(e, "r", 1)
+			b := NewChargeBank(1, []*Resource{r})
+			r.ChargeAt(0, 5) // free = 5
+			b.FoldDeferred(0, 3, 1)
+			r.BusyTime() // the flush would move free back to 3
+		}},
+		{"FoldDeferred NaN", func(e *Engine) {
+			r := NewResource(e, "r", 1)
+			b := NewChargeBank(1, []*Resource{r})
+			b.FoldDeferred(0, nan, 1)
+			r.Acquire(1, nil)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", c.name)
+				}
+			}()
+			c.fn(NewEngine())
+		})
+	}
+}
+
+// TestChainPoolRecycles keeps a single server 64 jobs deep for many
+// acquire/complete cycles: the chained completions must reuse their pool
+// nodes rather than grow the pool, and the calendar must hold only the
+// job in service.
+func TestChainPoolRecycles(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "cpu", 1)
+	for i := 0; i < 64; i++ {
+		r.Acquire(1e-3, nil)
+	}
+	for i := 0; i < 10000; i++ {
+		r.Acquire(1e-3, nil)
+		e.Step()
+		if cal := len(e.heap) + e.nstaged; cal != 1 {
+			t.Fatalf("cycle %d: calendar holds %d entries, want 1", i, cal)
+		}
+	}
+	if e.chainLen != 64 {
+		t.Fatalf("chain pool allocated %d nodes for a 64-deep queue", e.chainLen)
+	}
+	if e.Pending() != 64 || r.InSystem() != 64 {
+		t.Fatalf("Pending=%d InSystem=%d, want 64 and 64", e.Pending(), r.InSystem())
+	}
+	e.Run()
+	if r.Completed() != 10064 {
+		t.Fatalf("Completed = %d, want 10064", r.Completed())
+	}
+}
